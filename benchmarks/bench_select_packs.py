@@ -9,17 +9,12 @@ prints a table.
 Usage::
 
     python benchmarks/bench_select_packs.py
-    python benchmarks/bench_select_packs.py --repeats 3 --legacy
+    python benchmarks/bench_select_packs.py --repeats 3 --warm
     python benchmarks/bench_select_packs.py --targets sse4 --kernels dsp_sbc
-    python benchmarks/bench_select_packs.py --bound both
 
-``--legacy`` adds a ``bitset=False`` column (the legacy search engine
-kept as the differential oracle) with the speedup ratio; ``--warm``
-adds a warm-started rerun column (identical packs, pruned search);
-``--bound both`` adds a ``bound="slp"`` column (the admissible-bound
-gates disabled — today's differential oracle) with the speedup the
-matching bound buys.  Each measurement uses a fresh session, so every
-run is a cold search — comparable to the bench harness's cells — and
+``--warm`` adds a warm-started rerun column (identical packs, pruned
+search).  Each measurement uses a fresh session, so every run is a
+cold search — comparable to the bench harness's cells — and
 ``--repeats N`` reports the best of N to shave scheduler noise.
 
 This is a script, not a pytest module: it has no assertions and its
@@ -45,9 +40,7 @@ DEFAULT_TARGETS = ("sse4", "avx2", "avx512_vnni", "neon128")
 
 
 def time_select_packs(kernel_name: str, target: str, beam_width: int,
-                      repeats: int, bitset: bool = True,
-                      warm_start: bool = False,
-                      bound: str = "matching") -> float:
+                      repeats: int, warm_start: bool = False) -> float:
     """Best-of-``repeats`` select_packs wall time, fresh session each."""
     from repro.kernels import all_kernels
     from repro.obs import Tracer
@@ -59,8 +52,8 @@ def time_select_packs(kernel_name: str, target: str, beam_width: int,
     for _ in range(repeats):
         session = VectorizationSession(
             target=target, beam_width=beam_width,
-            config=VectorizerConfig(beam_width=beam_width, bitset=bitset,
-                                    warm_start=warm_start, bound=bound),
+            config=VectorizerConfig(beam_width=beam_width,
+                                    warm_start=warm_start),
         )
         tracer = Tracer()
         session.vectorize(function, tracer=tracer)
@@ -81,18 +74,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="beam width (default 8, the bench setting)")
     parser.add_argument("--repeats", type=int, default=1,
                         help="take the best of N runs (default 1)")
-    parser.add_argument("--legacy", action="store_true",
-                        help="also time the bitset=False legacy engine "
-                             "and print the speedup ratio")
     parser.add_argument("--warm", action="store_true",
                         help="also time a warm-started rerun (the run "
                              "itself seeds the in-process cache)")
-    parser.add_argument("--bound", choices=("matching", "slp", "both"),
-                        default="matching",
-                        help="admissible-bound mode for the main column "
-                             "(default matching, the config default); "
-                             "'both' adds a bound=slp column with the "
-                             "speedup ratio")
     args = parser.parse_args(argv)
 
     kernels = [k.strip() for k in args.kernels.split(",") if k.strip()]
@@ -105,60 +89,33 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"unknown kernels: {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    main_bound = "slp" if args.bound == "slp" else "matching"
-    header = f"{'kernel':14s} {'target':12s} {'bitset':>9s}"
-    if args.legacy:
-        header += f" {'legacy':>9s} {'speedup':>8s}"
+    header = f"{'kernel':14s} {'target':12s} {'cold':>9s}"
     if args.warm:
         header += f" {'warm':>9s}"
-    if args.bound == "both":
-        header += f" {'slp':>9s} {'speedup':>8s}"
     print(header)
     print("-" * len(header))
 
-    totals = {"bitset": 0.0, "legacy": 0.0, "warm": 0.0, "slp": 0.0}
+    totals = {"cold": 0.0, "warm": 0.0}
     start = time.perf_counter()
     for name in kernels:
         for target in targets:
-            fast = time_select_packs(name, target, args.beam_width,
-                                     args.repeats, bound=main_bound)
-            totals["bitset"] += fast
-            line = f"{name:14s} {target:12s} {fast:8.3f}s"
-            if args.legacy:
-                slow = time_select_packs(name, target, args.beam_width,
-                                         args.repeats, bitset=False,
-                                         bound=main_bound)
-                totals["legacy"] += slow
-                ratio = slow / fast if fast > 0 else float("inf")
-                line += f" {slow:8.3f}s {ratio:7.2f}x"
+            cold = time_select_packs(name, target, args.beam_width,
+                                     args.repeats)
+            totals["cold"] += cold
+            line = f"{name:14s} {target:12s} {cold:8.3f}s"
             if args.warm:
                 # First call above did not use the cache; this one seeds
                 # it (cold) and the timed second call prunes from it.
                 time_select_packs(name, target, args.beam_width, 1,
-                                  warm_start=True, bound=main_bound)
+                                  warm_start=True)
                 warm = time_select_packs(name, target, args.beam_width,
-                                         args.repeats, warm_start=True,
-                                         bound=main_bound)
+                                         args.repeats, warm_start=True)
                 totals["warm"] += warm
                 line += f" {warm:8.3f}s"
-            if args.bound == "both":
-                slp = time_select_packs(name, target, args.beam_width,
-                                        args.repeats, bound="slp")
-                totals["slp"] += slp
-                ratio = slp / fast if fast > 0 else float("inf")
-                line += f" {slp:8.3f}s {ratio:7.2f}x"
             print(line, flush=True)
-    footer = f"{'total':14s} {'':12s} {totals['bitset']:8.3f}s"
-    if args.legacy:
-        ratio = (totals["legacy"] / totals["bitset"]
-                 if totals["bitset"] > 0 else float("inf"))
-        footer += f" {totals['legacy']:8.3f}s {ratio:7.2f}x"
+    footer = f"{'total':14s} {'':12s} {totals['cold']:8.3f}s"
     if args.warm:
         footer += f" {totals['warm']:8.3f}s"
-    if args.bound == "both":
-        ratio = (totals["slp"] / totals["bitset"]
-                 if totals["bitset"] > 0 else float("inf"))
-        footer += f" {totals['slp']:8.3f}s {ratio:7.2f}x"
     print("-" * len(header))
     print(footer)
     print(f"(best of {args.repeats}, beam width {args.beam_width}, "

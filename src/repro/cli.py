@@ -80,13 +80,12 @@ def _cmd_vectorize(args: argparse.Namespace) -> int:
                   f"{', '.join(available_passes())}", file=sys.stderr)
             return 2
     config = None
-    if args.exact or args.bound != "matching":
+    if args.exact:
         from repro.vectorizer.context import VectorizerConfig
 
         config = VectorizerConfig(beam_width=args.beam_width,
-                                  exact=args.exact,
-                                  exact_node_budget=args.exact_budget,
-                                  bound=args.bound)
+                                  exact=True,
+                                  exact_node_budget=args.exact_budget)
     session = VectorizationSession(
         target=args.target,
         beam_width=args.beam_width,
@@ -535,7 +534,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.obs.bench import DEFAULT_GAP_NODE_BUDGET
-    from repro.vectorizer.bounds import BOUND_MODES
     from repro.vectorizer.context import DEFAULT_EXACT_NODE_BUDGET
 
     parser = argparse.ArgumentParser(
@@ -565,11 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default, see there); when exhausted the best "
                         "incumbent is returned without an optimality "
                         "proof")
-    p.add_argument("--bound", choices=BOUND_MODES, default="matching",
-                   help="search lower-bound provider (default "
-                        "matching, the admissible relaxation; slp "
-                        "disables the bound gates — the differential "
-                        "oracle with identical packs/costs)")
     p.add_argument("--dump-ir", action="store_true",
                    help="also print the scalar IR")
     p.add_argument("--report", action="store_true",

@@ -16,8 +16,8 @@ instructions the rewrite created).  Replaced instructions are erased
 eagerly — together with operand chains the erasure leaves dead — instead
 of accumulating until a final dead-code sweep re-scans them on every pass.
 Combined with the O(1) block-mutation API this makes canonicalization
-near-linear in practice; the previous fixpoint driver is preserved as
-:func:`_legacy_canonicalize` for differential testing.
+near-linear in practice.  Its output on every bundled kernel is pinned by
+``tests/golden/canon/``.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ from repro.ir.types import IntType
 from repro.ir.values import Constant, Value
 from repro.obs.counters import NULL_COUNTERS, Counters
 from repro.utils.intmath import mask, to_signed
-
-_MAX_PASSES = 32
 
 
 def canonicalize_function(function: Function,
@@ -129,36 +127,6 @@ def _erase_if_dead(inst: Instruction, block) -> None:
         for op in operands:
             if op.num_uses == 0:
                 stack.append(op)
-
-
-def _legacy_canonicalize(function: Function) -> int:
-    """The original fixpoint driver: whole-function sweeps until no sweep
-    changes anything (or ``_MAX_PASSES``), then one dead-code sweep.
-
-    Kept only as the differential-testing oracle for the worklist driver
-    (``tests/test_canon_differential.py``); it applies the exact same
-    rewrites, so both must produce identical IR.
-    """
-    total = 0
-    for _ in range(_MAX_PASSES):
-        changed = _run_once(function)
-        total += changed
-        if not changed:
-            break
-    dead_code_eliminate(function)
-    return total
-
-
-def _run_once(function: Function) -> int:
-    changed = 0
-    for inst in list(function.entry):
-        replacement = _simplify_inst(inst, [])
-        if replacement is not None and replacement is not inst:
-            inst.replace_all_uses_with(replacement)
-            changed += 1
-            continue
-        changed += _rewrite_in_place(inst)
-    return changed
 
 
 def _const(inst: Instruction) -> Optional[Constant]:

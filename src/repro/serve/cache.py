@@ -41,8 +41,9 @@ from repro.vectorizer.context import VectorizerConfig
 #: Disk entry schema; bump on any breaking change.
 CACHE_ENTRY_SCHEMA = "repro-serve-cache/v1"
 
-#: Key-derivation version: bump to invalidate every existing key.
-KEY_SCHEMA = "repro-serve-key/v1"
+#: Key-derivation version: bump to invalidate every existing key.  v2:
+#: the canonical config lost its four retired search-engine knobs.
+KEY_SCHEMA = "repro-serve-key/v2"
 
 #: Environment variable capping the disk tier's total size in bytes
 #: (optional K/M/G suffix); unset or empty means unbounded.

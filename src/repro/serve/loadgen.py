@@ -37,11 +37,11 @@ DEFAULT_SERVE_BENCH_PATH = "BENCH_serve.json"
 #: cold phase dominate the run.
 DEFAULT_KERNELS = (
     "complex_mul",
-    "isel_dot4_i16",
-    "isel_hadd4_i32",
-    "isel_mul_sub4_i32",
+    "isel_pmaddwd",
+    "isel_hadd_i32",
+    "isel_hsub_i32",
+    "isel_abs_i32",
     "dsp_fft4",
-    "dsp_lms16",
 )
 
 
@@ -87,7 +87,7 @@ def run_serve_bench(kernel_names: Optional[Sequence[str]] = None,
 
     kernels = all_kernels()
     if kernel_names is None:
-        kernel_names = [k for k in DEFAULT_KERNELS if k in kernels]
+        kernel_names = DEFAULT_KERNELS
     unknown = [k for k in kernel_names if k not in kernels]
     if unknown:
         raise KeyError(f"unknown kernels: {', '.join(sorted(unknown))}")

@@ -1,4 +1,4 @@
-"""Admissible lower bounds for the Figure 9 search (``config.bound``).
+"""Admissible lower bounds for the Figure 9 search.
 
 :class:`MatchingLowerBound` maps a search state ``(V, S, F)`` to a cost
 ``lb`` with ``lb <= cost of every completion of the state`` — a *true*
@@ -114,9 +114,6 @@ from repro.ir.instructions import (
     RetInst,
     StoreInst,
 )
-
-#: Bound-provider selection values for ``VectorizerConfig.bound``.
-BOUND_MODES = ("slp", "matching")
 
 _CHUNK = 0xFFFFFFFFFFFFFFFF
 _INFINITY = float("inf")
@@ -379,7 +376,7 @@ class MatchingLowerBound:
     def bound(self, state) -> float:
         """Admissible lower bound on the state's completion cost."""
         free = state.free_bits
-        obits = self.search._state_operand_bits(state) & free
+        obits = self.search._mask_obits(state.operand_mask) & free
         s_bits = state.scalar_bits & free
         core = s_bits | obits
         if not core:

@@ -43,50 +43,6 @@ class VectorizerConfig:
     max_transitions_per_state: int = 48
     #: Beam iterations without improvement before giving up.
     patience: int = 48
-    #: Enable search-layer memoization: operand-estimate/slice-cost
-    #: memos and the transposition table on ``SearchState.identity()``.
-    #: Off reproduces the unmemoized search exactly (differential-tested:
-    #: the selected packs and costs are identical either way).
-    memoize: bool = True
-    #: Enable incumbent (branch-and-bound) pruning and lazy child
-    #: scoring in the beam search.  Transition costs are non-negative,
-    #: so a child whose ``g`` already meets the best solved cost — and
-    #: every descendant of it — can never improve the returned solution;
-    #: such children are dropped before completion, heuristic, and
-    #: rollout, and only beam survivors (plus children whose ``f = g+h``
-    #: beats the incumbent) are completed.  The returned cost is never
-    #: worse than the unpruned search's (differential-tested on every
-    #: bundled kernel and target); ``prune=False`` restores the
-    #: exhaustive scoring path of the unpruned search exactly.
-    prune: bool = True
-    #: Run the search on the bitset-native state representation: a
-    #: state's live-operand set is a big-int bitmask over dense operand
-    #: ids (assigned at registry time) instead of a frozenset of operand
-    #: keys, and every transition becomes precomputed mask AND/OR/ANDNOT
-    #: batches over the per-pack tables.  The bitset engine explores the
-    #: identical state sequence — dense ids are registration order, so
-    #: LSB-first mask iteration reproduces the legacy engine's
-    #: registration-ordered key iteration exactly — and is
-    #: differential-tested bit-identical on every bundled kernel and
-    #: target (``tests/test_bitset_differential.py``); ``bitset=False``
-    #: restores the frozenset-keyed legacy engine.
-    bitset: bool = True
-    #: Lower-bound provider for incumbent pruning, in both the beam's
-    #: gates and the exhaustive pass.  ``"matching"`` (default) charges
-    #: every provably-still-needed instruction its cheapest amortized
-    #: pack-or-scalar production cost — a true admissible bound
-    #: (:mod:`repro.vectorizer.bounds`, DESIGN.md §16) that lets the
-    #: exhaustive pass prove optimality on the heavy kernels and lets
-    #: the beam skip provably-outside-the-beam heuristic calls.  All
-    #: beam-path consumers are identity-preserving (``h >= lb``
-    #: pointwise, so every new skip is of work whose result could not
-    #: have been kept): packs and costs are bit-identical to
-    #: ``"slp"``, which disables the provider and keeps the pure
-    #: SLP-heuristic engine as the differential oracle
-    #: (``tests/test_bound_differential.py``).  Note this field is part
-    #: of the canonical config, so serve/warm cache keys change with it
-    #: — deliberate, same as every other knob.
-    bound: str = "matching"
     #: After the beam finishes, run the incumbent branch-and-bound to
     #: exhaustion under the admissible bound (seeded with the beam's
     #: solved state, so the result is never worse than the beam's) and
@@ -137,10 +93,6 @@ class VectorizerConfig:
         "seed_packs_per_value",
         "max_transitions_per_state",
         "patience",
-        "memoize",
-        "prune",
-        "bitset",
-        "bound",
         "exact",
         "exact_node_budget",
         "warm_start",

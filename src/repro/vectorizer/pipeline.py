@@ -15,16 +15,10 @@ from repro.ir.function import Function
 from repro.ir.parser import parse_function
 from repro.ir.printer import print_function
 from repro.machine.costs import CostModel
-from repro.machine.model import ProgramCost, program_cost, \
-    scalar_function_cost
-from repro.obs.counters import NULL_COUNTERS, Counters
-from repro.obs.trace import NULL_TRACER
-from repro.patterns.canonicalize import canonicalize_function
+from repro.machine.model import ProgramCost
+from repro.obs.counters import Counters
 from repro.target.isa import TargetDesc
-from repro.target.registry import get_target
-from repro.vectorizer.beam import select_packs
-from repro.vectorizer.codegen import generate
-from repro.vectorizer.context import VectorizationContext, VectorizerConfig
+from repro.vectorizer.context import VectorizerConfig
 from repro.vectorizer.pack import Pack
 from repro.vectorizer.vector_ir import VScalar, VectorProgram
 
@@ -156,108 +150,3 @@ def vectorize(
         pipeline=pipeline,
     )
     return session.vectorize(function, tracer=tracer, counters=counters)
-
-
-def _legacy_vectorize(
-    function: Function,
-    target: Union[str, TargetDesc] = "avx2",
-    beam_width: int = 64,
-    canonicalize_patterns: bool = True,
-    canonicalize_input: bool = True,
-    reassociate: bool = False,
-    cost_model: Optional[CostModel] = None,
-    config: Optional[VectorizerConfig] = None,
-    sanitize: bool = False,
-    tracer=None,
-    counters: Optional[Counters] = None,
-) -> VectorizationResult:
-    """The pre-pass-manager monolithic pipeline, kept verbatim as the
-    differential-testing oracle (``tests/test_passes_differential.py``
-    asserts ``vectorize()`` matches it byte-for-byte on every bundled
-    kernel and target)."""
-    obs_on = tracer is not None or counters is not None
-    if tracer is None:
-        tracer = NULL_TRACER
-    if counters is None:
-        counters = NULL_COUNTERS
-    with tracer.span("vectorize", function=function.name,
-                     beam_width=beam_width) as root_span:
-        if isinstance(target, str):
-            # First use of a target builds its whole description (the
-            # offline phase: pseudocode -> VIDL -> patterns); later uses
-            # hit the registry cache.  Traced so bench wall times are
-            # attributable.
-            with tracer.span("target_build"):
-                target_desc = get_target(
-                    target, canonicalize_patterns=canonicalize_patterns
-                )
-        else:
-            target_desc = target
-        if root_span is not None:
-            root_span.meta["target"] = target_desc.name
-        work = clone_function(function)
-        if canonicalize_input:
-            with tracer.span("canonicalize"):
-                canonicalize_function(work, counters=counters)
-        if reassociate:
-            from repro.patterns.reassociate import reassociate_function
-
-            with tracer.span("reassociate"):
-                reassociate_function(work)
-                if canonicalize_input:
-                    canonicalize_function(work, counters=counters)
-        if config is None:
-            config = VectorizerConfig(beam_width=beam_width)
-        else:
-            config.beam_width = beam_width
-        ctx = VectorizationContext(work, target_desc, cost_model, config,
-                                   tracer=tracer, counters=counters)
-        with tracer.span("select_packs"):
-            packs, estimated = select_packs(ctx)
-        model = ctx.cost_model
-        with tracer.span("cost_model"):
-            scalar_cost = scalar_function_cost(work, model)
-        if packs:
-            with tracer.span("codegen"):
-                program = generate(ctx, packs)
-            with tracer.span("cost_model"):
-                cost = program_cost(program, model)
-            # Fall back to scalar when the emitted program models slower
-            # than the scalar original (the search estimate is a
-            # heuristic).
-            if cost.total >= scalar_cost:
-                packs = []
-        if not packs:
-            with tracer.span("codegen"):
-                program = scalar_program(work)
-            with tracer.span("cost_model"):
-                cost = program_cost(program, model)
-        result = VectorizationResult(
-            function=work,
-            program=program,
-            packs=packs,
-            scalar_cost=scalar_cost,
-            cost=cost,
-            estimated_cost=estimated,
-            target=target_desc,
-        )
-        if obs_on:
-            result.trace = root_span  # None when only counters were on
-            result.counters = counters if counters.enabled else None
-        if sanitize:
-            # Imported lazily: repro.analysis imports vectorizer modules.
-            from repro.analysis import SanitizerError, analyze_result, \
-                errors_only
-
-            with tracer.span("sanitize"):
-                result.diagnostics = analyze_result(result,
-                                                    target=target_desc)
-                errors = errors_only(result.diagnostics)
-                counters.inc("sanitizer.diagnostics",
-                             len(result.diagnostics))
-                counters.inc("sanitizer.errors", len(errors))
-                counters.inc("sanitizer.warnings",
-                             len(result.diagnostics) - len(errors))
-            if errors:
-                raise SanitizerError(errors)
-    return result

@@ -61,7 +61,6 @@ class SLPCostEstimator:
         self._integral_costs = all(
             float(c).is_integer() for c in self._inst_costs
         )
-        self._memoize = ctx.config.memoize
         self._slice_bits_memo: Dict[Tuple, int] = {}
 
     # -- scalar slice costs ----------------------------------------------------
@@ -75,8 +74,6 @@ class SLPCostEstimator:
         the context's id-keyed operand_key cache, so the steady-state
         lookup is two dict probes with no key construction.
         """
-        if not self._memoize:
-            return self._compute_slice_bits(values)
         if type(values) is tuple:
             key = self.ctx.operand_key_of(values)
         else:

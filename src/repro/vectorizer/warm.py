@@ -45,8 +45,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.disklru import enforce_disk_limit, limit_from_env, mark_used
 
-#: Key-derivation version: bump to invalidate every existing key.
-WARM_KEY_SCHEMA = "repro-warm-key/v1"
+#: Key-derivation version: bump to invalidate every existing key.  v2:
+#: the canonical config lost its four retired search-engine knobs.
+WARM_KEY_SCHEMA = "repro-warm-key/v2"
 
 #: Disk entry schema; bump on any breaking change.
 WARM_ENTRY_SCHEMA = "repro-warm-cache/v1"

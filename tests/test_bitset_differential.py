@@ -1,13 +1,8 @@
-"""Differential tests for the bitset-native search core, the exhaustive
-(`exact`) mode, and warm-started incumbents.
+"""Tests for the exhaustive (``exact``) mode and warm-started incumbents
+of the bitset-native search engine.
 
-Three exactness contracts under test:
+Two contracts under test:
 
-* ``VectorizerConfig(bitset=False)`` restores the legacy
-  frozenset-of-operand-keys engine, and the two engines are
-  byte-identical — same packs (structurally), same costs — on the full
-  kernel x target matrix.  The legacy engine stays in-tree purely as
-  this differential oracle.
 * ``VectorizerConfig(exact=True)`` appends an incumbent branch-and-bound
   pass seeded with the beam's solved state, so its final cost is never
   worse than the beam's anywhere, and on the tiny oracle kernels (where
@@ -16,6 +11,9 @@ Three exactness contracts under test:
   the search does (``beam.warmstart_*`` and node counters) — packs and
   costs are identical to a cold run, whether the cached bound comes
   from the in-memory tier or the ``REPRO_WARM_CACHE_DIR`` disk tier.
+
+The engine's own identity with the frozenset-keyed engine it replaced
+is pinned by the pack goldens (``tests/golden/packs/``).
 """
 
 import json
@@ -35,20 +33,10 @@ from repro.vectorizer.warm import (
     warm_key,
 )
 
+from tests.pack_goldens import cell_record
 from tests.test_optimal_oracle import TINY_KERNELS
 
 ALL_TARGETS = ("sse4", "avx2", "avx512_vnni")
-
-
-def _pack_signature(pack):
-    """Structural pack identity, stable across function copies."""
-    inst = getattr(pack, "inst", None)
-    return (
-        type(pack).__name__,
-        inst.name if inst is not None else None,
-        tuple(v.short_name() if v is not None else None
-              for v in pack.values()),
-    )
 
 
 def _run(name, target, **config_kwargs):
@@ -61,77 +49,6 @@ def _run(name, target, **config_kwargs):
     counters = Counters()
     result = session.vectorize(kernels[name], counters=counters)
     return result, counters
-
-
-def _fingerprint(result):
-    return (tuple(_pack_signature(p) for p in result.packs),
-            result.cost.total)
-
-
-# -- bitset engine vs the legacy differential oracle -------------------
-
-
-class TestBitsetDifferential:
-    def test_bitset_off_is_byte_identical_on_every_kernel_and_target(
-            self):
-        """Full 33-kernel x 3-target matrix, both engines: identical
-        packs (structurally — pack objects belong to per-run function
-        copies) and identical costs.
-
-        Beam width 2 keeps the double matrix fast; engine identity is
-        width-independent (the bitset engine replicates candidate order,
-        tie-breaks, and the registration-ordered key iteration exactly).
-        """
-        kernels = all_kernels()
-        mismatches = []
-        for target in ALL_TARGETS:
-            # One session per (target, engine): sessions share nothing
-            # across kernels but target setup.
-            on = VectorizationSession(
-                target=target, beam_width=2,
-                config=VectorizerConfig(beam_width=2, bitset=True))
-            off = VectorizationSession(
-                target=target, beam_width=2,
-                config=VectorizerConfig(beam_width=2, bitset=False))
-            for name in sorted(kernels):
-                got = _fingerprint(on.vectorize(kernels[name]))
-                ref = _fingerprint(off.vectorize(kernels[name]))
-                if got != ref:
-                    mismatches.append(
-                        f"{name}/{target}: bitset {got[1]} vs "
-                        f"legacy {ref[1]} (packs equal: "
-                        f"{got[0] == ref[0]})"
-                    )
-        assert not mismatches, "\n".join(mismatches)
-
-    def test_bitset_identity_at_bench_width(self):
-        """Spot-check the bench configuration (width 8) on the heavy
-        kernels where the engines diverge first if they ever do."""
-        for name in ("dsp_idct4", "dsp_fft4", "complex_mul",
-                     "opencv_int32x8"):
-            for target in ALL_TARGETS:
-                got, _ = _run(name, target, beam_width=8, bitset=True)
-                ref, _ = _run(name, target, beam_width=8, bitset=False)
-                assert _fingerprint(got) == _fingerprint(ref), \
-                    f"{name}/{target}"
-
-    def test_bitset_counters_fire(self):
-        _, counters = _run("complex_mul", "sse4", bitset=True)
-        assert counters.get("beam.bitset_runs") == 1
-        assert counters.get("beam.bitset_operands") > 0
-        _, counters = _run("complex_mul", "sse4", bitset=False)
-        assert counters.get("beam.bitset_runs") == 0
-
-    def test_legacy_prune_and_memoize_paths_still_work(self):
-        """The legacy differential oracles of earlier PRs compose with
-        the engine toggle: every combination returns the same cost."""
-        costs = set()
-        for bitset in (False, True):
-            for memoize in (False, True):
-                result, _ = _run("dsp_fft4", "sse4", bitset=bitset,
-                                 memoize=memoize)
-                costs.add(result.cost.total)
-        assert len(costs) == 1, costs
 
 
 # -- exact mode: never worse, optimal where provable -------------------
@@ -190,8 +107,7 @@ class TestExactMode:
     def test_exact_counter_names_are_registered(self):
         for name in ("beam.exact_runs", "beam.exact_nodes",
                      "beam.exact_proved", "beam.exact_budget_exhausted",
-                     "beam.exact_improvements", "beam.bitset_runs",
-                     "beam.bitset_operands", "beam.warmstart_hits",
+                     "beam.exact_improvements", "beam.warmstart_hits",
                      "beam.warmstart_misses", "beam.warmstart_stops",
                      "beam.warmstart_prunes", "beam.heuristic_skips"):
             assert name in COUNTER_NAMES, name
@@ -213,7 +129,7 @@ class TestWarmStart:
             warm, warm_counters = _run(name, "sse4", beam_width=8,
                                        warm_start=True)
             assert warm_counters.get("beam.warmstart_hits") >= 1
-            assert _fingerprint(cold) == _fingerprint(warm), name
+            assert cell_record(cold) == cell_record(warm), name
 
     def test_warm_start_matches_warm_start_off(self, monkeypatch,
                                                tmp_path):
@@ -225,7 +141,7 @@ class TestWarmStart:
             _run(name, "avx2", beam_width=8, warm_start=True)  # seed
             warm, _ = _run(name, "avx2", beam_width=8,
                            warm_start=True)
-            assert _fingerprint(plain) == _fingerprint(warm), name
+            assert cell_record(plain) == cell_record(warm), name
 
     def test_exact_warm_rerun_is_identical_and_proved(self, monkeypatch,
                                                       tmp_path):
@@ -239,7 +155,7 @@ class TestWarmStart:
         warm, warm_counters = _run("complex_mul", "sse4", **kwargs)
         assert warm_counters.get("beam.exact_proved") == 1
         assert warm_counters.get("beam.warmstart_hits") >= 1
-        assert _fingerprint(cold) == _fingerprint(warm)
+        assert cell_record(cold) == cell_record(warm)
 
 
 # -- WarmCostCache unit behaviour --------------------------------------

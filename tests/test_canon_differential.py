@@ -1,16 +1,15 @@
-"""Differential tests for the PR 2 hot-path overhaul.
+"""Golden and fixpoint tests for the worklist canonicalizer.
 
-The worklist canonicalizer and the beam-search memoization layer are
-pure performance changes: they must not alter a single byte of output.
-Three oracles enforce that:
+The worklist driver replaced a whole-function fixpoint driver (sweep
+every instruction until a sweep changes nothing, then one dead-code
+sweep).  Two checks pin that it still produces the same IR:
 
-* golden files (``tests/golden/canon/*.ll``) captured from the seed
-  implementation's fixpoint canonicalizer, one per bundled kernel;
-* ``_legacy_canonicalize``, the seed fixpoint driver kept in-tree,
-  run side-by-side on the same inputs;
-* ``VectorizerConfig(memoize=False)``, which disables every
-  search-layer memo and the transposition table, run end-to-end
-  against the default memoized configuration.
+* golden files (``tests/golden/canon/*.ll``) captured from the fixpoint
+  driver, one per bundled kernel — the driver matched them on every
+  kernel until it was deleted;
+* the fixpoint condition itself: one sweep of the old driver's rewrites
+  over the worklist output changes nothing, so the old driver run on it
+  would stop at once and return it unchanged.
 """
 
 import os
@@ -20,18 +19,19 @@ import pytest
 from repro.ir.printer import print_function
 from repro.kernels import all_kernels
 from repro.patterns.canonicalize import (
-    _legacy_canonicalize,
+    _rewrite_in_place,
+    _simplify_inst,
     canonicalize_function,
 )
-from repro.vectorizer import clone_function, vectorize
-from repro.vectorizer.context import VectorizerConfig
+from repro.vectorizer import clone_function
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "canon")
 
 KERNELS = all_kernels()
 
-#: Kernels small enough to run the quadratic legacy driver on in a unit
-#: test; the golden files cover the big ones (dsp_idct8, dsp_sbc).
+#: The kernels the fixpoint driver was run on side by side in unit
+#: tests (it was quadratic); the golden files cover the big ones
+#: (dsp_idct8, dsp_sbc).
 SMALL_KERNELS = sorted(
     name for name, fn in KERNELS.items()
     if len(fn.entry.instructions) < 400
@@ -43,6 +43,21 @@ def _canonicalized_text(name, driver):
     driver(work)
     work.assign_names()
     return print_function(work)
+
+
+def _sweep_rewrites(function):
+    """Rewrites one sweep of the retired fixpoint driver applies: each
+    instruction in block order is simplified to an existing value or
+    rewritten in place."""
+    changed = 0
+    for inst in list(function.entry):
+        replacement = _simplify_inst(inst, [])
+        if replacement is not None and replacement is not inst:
+            inst.replace_all_uses_with(replacement)
+            changed += 1
+            continue
+        changed += _rewrite_in_place(inst)
+    return changed
 
 
 class TestGoldenCanonicalization:
@@ -62,51 +77,19 @@ class TestGoldenCanonicalization:
 
 
 class TestLegacyDifferential:
-    """Worklist driver vs the preserved fixpoint driver, side by side."""
+    """The worklist output is where the retired fixpoint driver stops."""
 
     @pytest.mark.parametrize("name", SMALL_KERNELS)
     def test_same_ir_as_legacy(self, name):
-        assert (
-            _canonicalized_text(name, canonicalize_function)
-            == _canonicalized_text(name, _legacy_canonicalize)
-        )
+        work = clone_function(KERNELS[name])
+        canonicalize_function(work)
+        assert _sweep_rewrites(work) == 0
 
     def test_idempotent_after_worklist(self):
         for name in SMALL_KERNELS[:6]:
             work = clone_function(KERNELS[name])
             canonicalize_function(work)
             assert canonicalize_function(work) == 0
-
-
-class TestMemoizationDifferential:
-    """memoize=True vs memoize=False: byte-identical vectorization."""
-
-    CELLS = [
-        ("complex_mul", "sse4"),
-        ("dsp_idct4", "sse4"),
-        ("dsp_fft4", "avx2"),
-        ("isel_pmaddwd", "sse4"),
-        ("opencv_int16x16", "avx2"),
-    ]
-
-    @pytest.mark.parametrize("kernel,target", CELLS)
-    def test_same_program_with_and_without_memos(self, kernel, target):
-        runs = {}
-        for memoize in (True, False):
-            config = VectorizerConfig(beam_width=8, memoize=memoize)
-            result = vectorize(KERNELS[kernel], target=target,
-                               beam_width=8, config=config)
-            # Pack keys embed value ids, which differ between the two
-            # cloned runs; the program dump is the id-free rendering of
-            # the selected packs and emitted code.
-            runs[memoize] = (
-                result.program.dump(),
-                [type(p).__name__ for p in result.packs],
-                result.cost.total,
-                result.scalar_cost,
-                result.estimated_cost,
-            )
-        assert runs[True] == runs[False]
 
 
 class TestNarrowLeak:

@@ -1,16 +1,15 @@
-"""Differential suite for the PR 4 pass-manager refactor.
+"""The pass-manager pipeline against the frozen output of the monolith
+it replaced.
 
-``vectorize()`` is now a thin wrapper over ``repro.session`` +
-``repro.passes``; the pre-refactor monolith is kept in-tree as
-``repro.vectorizer.pipeline._legacy_vectorize`` and run side-by-side on
-every bundled kernel × every target.  The refactor is purely
-structural, so every observable output must match byte-for-byte: the
-emitted vector program, the pack list, the model costs, and (ignoring
-the new ``passes.*`` entries) the observability counters.
+``vectorize()`` is a thin wrapper over ``repro.session`` +
+``repro.passes``.  The pre-refactor monolithic pipeline ran side by side
+with it on every bundled kernel x every target until it was deleted,
+matching byte for byte; its packs and costs live on in the pack goldens
+(``tests/golden/packs/``), and its span tree shape is frozen below.
 
 Pack identity caveat: ``Pack.key()`` embeds ``id()`` values and is never
-comparable across two vectorize runs; packs are compared by ``repr``,
-which renders opcode + lane structure.
+comparable across two vectorize runs; the goldens compare structural
+pack signatures instead.
 """
 
 import pytest
@@ -18,55 +17,49 @@ import pytest
 from repro.kernels import all_kernels
 from repro.obs import Counters, Tracer
 from repro.vectorizer import vectorize
-from repro.vectorizer.pipeline import _legacy_vectorize
+
+from tests.pack_goldens import assert_matches_golden
 
 KERNELS = all_kernels()
 TARGETS = ("sse4", "avx2", "avx512_vnni")
 
-#: Small beam keeps the 33-kernel x 3-target x 2-implementation matrix
-#: inside unit-test time while still exercising the real search.
+#: Small beam keeps the 33-kernel x 3-target matrix inside unit-test
+#: time while still exercising the real search.
 BEAM_WIDTH = 2
 
-
-def _observable(result):
-    """Everything a caller can see, as a comparable dict."""
-    return {
-        "program": result.program.dump(),
-        "packs": [repr(p) for p in result.packs],
-        "vectorized": result.vectorized,
-        "scalar_cost": result.scalar_cost,
-        "cost": vars(result.cost),
-        "estimated_cost": result.estimated_cost,
-    }
+#: The span tree the monolith recorded for one traced compile.
+LEGACY_SPAN_SHAPE = [
+    ("vectorize", [
+        ("target_build", []),
+        ("canonicalize", []),
+        ("dep_graph", []),
+        ("match_table", []),
+        ("select_packs", [("seed_enumeration", [])]),
+        ("cost_model", []),
+        ("codegen", []),
+        ("cost_model", []),
+    ]),
+]
 
 
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_pipeline_matches_legacy(name, target):
-    new = vectorize(KERNELS[name], target=target, beam_width=BEAM_WIDTH)
-    old = _legacy_vectorize(KERNELS[name], target=target,
-                            beam_width=BEAM_WIDTH)
-    assert _observable(new) == _observable(old)
+    assert_matches_golden(name, target, BEAM_WIDTH)
 
 
 @pytest.mark.parametrize("name", ["tvm_dot", "complex_mul",
                                   "isel_pmaddwd"])
 def test_obs_matches_legacy(name):
-    """Same span tree shape and same counters (modulo ``passes.*``)."""
-    def run(impl):
-        tracer, counters = Tracer(), Counters()
-        impl(KERNELS[name], target="avx2", beam_width=BEAM_WIDTH,
-             tracer=tracer, counters=counters)
-        def shape(span):
-            return (span.name, [shape(c) for c in span.children])
-        return ([shape(root) for root in tracer.roots],
-                {k: v for k, v in counters.as_dict().items()
-                 if not k.startswith("passes.")})
+    """Same span tree shape as the monolith."""
+    tracer = Tracer()
+    vectorize(KERNELS[name], target="avx2", beam_width=BEAM_WIDTH,
+              tracer=tracer, counters=Counters())
 
-    new_shape, new_counters = run(vectorize)
-    old_shape, old_counters = run(_legacy_vectorize)
-    assert new_shape == old_shape
-    assert new_counters == old_counters
+    def shape(span):
+        return (span.name, [shape(c) for c in span.children])
+
+    assert [shape(root) for root in tracer.roots] == LEGACY_SPAN_SHAPE
 
 
 def test_custom_pipeline_skipping_canonicalize_differs_only_upstream():

@@ -1,12 +1,9 @@
-"""Differential and regression tests for the pack-selection search
-engine: incumbent pruning, search-layer memoization, the load-pack
-run-splitter, Argument-lane completion accounting, the new ``beam.*``
-counters, and determinism under hash randomization.
+"""Regression tests for the pack-selection search engine: the load-pack
+run-splitter, Argument-lane completion accounting, the search counters,
+and determinism under hash randomization.
 
-The exactness contract under test: ``VectorizerConfig(prune=False)`` and
-``VectorizerConfig(memoize=False)`` each restore the legacy search, and
-the default configuration must never return a worse final cost than
-either.
+The packs and costs the search selects are pinned by the pack goldens
+(``tests/golden/packs/``, ``tests/test_pack_goldens.py``).
 """
 
 import os
@@ -23,88 +20,7 @@ from repro.session import VectorizationSession
 from repro.target import get_target
 from repro.vectorizer import VectorizationContext
 from repro.vectorizer.beam import BeamSearch, SearchState
-from repro.vectorizer.context import VectorizerConfig
 from repro.vectorizer.report import render_report
-
-ALL_TARGETS = ("sse4", "avx2", "avx512_vnni")
-
-
-def _pack_signature(pack):
-    """Structural pack identity, stable across function copies."""
-    inst = getattr(pack, "inst", None)
-    return (
-        type(pack).__name__,
-        inst.name if inst is not None else None,
-        tuple(v.short_name() if v is not None else None
-              for v in pack.values()),
-    )
-
-
-# -- incumbent pruning: never worse than the legacy search -------------
-
-
-class TestPruneDifferential:
-    def test_prune_never_worse_on_every_kernel_and_target(self):
-        """The full 33-kernel x 3-target matrix: the pruned search's
-        final cost is never worse than the unpruned (legacy) search's.
-
-        Beam width 2 keeps the double matrix fast; the dominance
-        argument (non-negative transition costs) is width-independent.
-        """
-        kernels = all_kernels()
-        violations = []
-        for target in ALL_TARGETS:
-            pruned = VectorizationSession(target=target, beam_width=2)
-            legacy = VectorizationSession(
-                target=target, beam_width=2,
-                config=VectorizerConfig(prune=False),
-            )
-            for name in sorted(kernels):
-                got = pruned.vectorize(kernels[name]).cost.total
-                ref = legacy.vectorize(kernels[name]).cost.total
-                if got > ref + 1e-9:
-                    violations.append(
-                        f"{name}/{target}: pruned {got} > legacy {ref}"
-                    )
-        assert not violations, "\n".join(violations)
-
-    def test_memoize_off_is_bit_identical(self):
-        """Memoization is exact: identical packs and identical cost."""
-        kernels = all_kernels()
-        subset = ["complex_mul", "dsp_idct4", "dsp_chroma", "dotprod",
-                  "tvm_dot"]
-        subset = [n for n in subset if n in kernels] or \
-            sorted(kernels)[:4]
-        memo = VectorizationSession(target="sse4", beam_width=4)
-        plain = VectorizationSession(
-            target="sse4", beam_width=4,
-            config=VectorizerConfig(memoize=False),
-        )
-        for name in subset:
-            a = memo.vectorize(kernels[name])
-            b = plain.vectorize(kernels[name])
-            assert a.cost.total == b.cost.total, name
-            # Pack keys are id-based and each run vectorizes its own
-            # working copy, so compare structurally: same pack kinds,
-            # same instructions, same lanes, same emitted program.
-            assert [_pack_signature(p) for p in a.packs] == \
-                [_pack_signature(p) for p in b.packs], name
-            assert a.program.dump() == b.program.dump(), name
-
-    def test_prune_off_and_memoize_off_compose(self):
-        """The fully-legacy configuration still vectorizes and the
-        default configuration matches or beats it."""
-        kernels = all_kernels()
-        fn = kernels["dsp_idct4"]
-        legacy = VectorizationSession(
-            target="sse4", beam_width=4,
-            config=VectorizerConfig(prune=False, memoize=False),
-        ).vectorize(fn)
-        default = VectorizationSession(
-            target="sse4", beam_width=4,
-        ).vectorize(fn)
-        assert legacy.vectorized
-        assert default.cost.total <= legacy.cost.total + 1e-9
 
 
 # -- determinism under hash randomization ------------------------------
@@ -126,10 +42,9 @@ for name in ("complex_mul", "dsp_idct4"):
 class TestDeterminism:
     def test_search_is_stable_under_hash_randomization(self):
         """Two interpreter runs with different PYTHONHASHSEED values
-        must select the same packs and emit the same program: frozenset
-        iteration order varies per process and must never leak into the
-        search (states iterate their operand keys in registration
-        order)."""
+        must select the same packs and emit the same program: hash
+        order varies per process and must never leak into the search
+        (states iterate their operands in registration order)."""
         src_root = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             "src",
@@ -218,7 +133,7 @@ class TestLoadPackRunSplitting:
 
 
 class TestArgumentLaneCompletion:
-    def _search_with_argument_operand(self, memoize):
+    def _search_with_argument_operand(self):
         fn = Function("argmix", [("A", pointer_to(I16)), ("s", I16),
                                  ("O", pointer_to(I16))])
         b = IRBuilder(fn)
@@ -228,10 +143,7 @@ class TestArgumentLaneCompletion:
         b.store(b.add(l0, s), O, 0)
         b.store(b.add(l1, s), O, 1)
         b.ret()
-        ctx = VectorizationContext(
-            fn, get_target("sse4"),
-            config=VectorizerConfig(memoize=memoize),
-        )
+        ctx = VectorizationContext(fn, get_target("sse4"))
         search = BeamSearch(ctx)
         return search, (l0, s), l0
 
@@ -240,10 +152,10 @@ class TestArgumentLaneCompletion:
         charged ``c_insert`` by the scalar completion — it was already
         paid for by the foreign-element cost when the operand entered V
         (Arguments can never be produced or scalar-fixed)."""
-        search, operand, l0 = self._search_with_argument_operand(True)
-        key = search._register_operand(operand)
+        search, operand, l0 = self._search_with_argument_operand()
+        opid = search._register_operand(operand)
         free = (1 << len(search.ctx.dep_graph.instructions)) - 1
-        state = SearchState(frozenset([key]), 0, free, (), 0.0)
+        state = SearchState(1 << opid, 0, free, (), 0.0)
         total = search._scalar_completion_uncached(state)
         est = search.estimator
         slice_bits = est.scalar_slice_bits([l0]) & free
@@ -252,19 +164,15 @@ class TestArgumentLaneCompletion:
         assert total == pytest.approx(expected)
 
     def test_memoized_and_plain_completion_agree(self):
-        results = []
-        for memoize in (True, False):
-            search, operand, _ = \
-                self._search_with_argument_operand(memoize)
-            key = search._register_operand(operand)
-            free = (1 << len(search.ctx.dep_graph.instructions)) - 1
-            state = SearchState(frozenset([key]), 0, free, (), 0.0)
-            # Twice: the second memoized call exercises the memo-hit
-            # path, which must return the same value it stored.
-            results.append((search._scalar_completion(state),
-                            search._scalar_completion(state)))
-        assert results[0] == results[1]
-        assert results[0][0] == results[0][1]
+        search, operand, _ = self._search_with_argument_operand()
+        opid = search._register_operand(operand)
+        free = (1 << len(search.ctx.dep_graph.instructions)) - 1
+        state = SearchState(1 << opid, 0, free, (), 0.0)
+        # Twice: the second memoized call exercises the memo-hit path,
+        # which must return the same value it stored.
+        first = search._scalar_completion(state)
+        assert search._scalar_completion(state) == first
+        assert search._scalar_completion_uncached(state) == first
 
 
 # -- the new counters --------------------------------------------------

@@ -87,3 +87,14 @@ def test_validator_rejects_malformed_documents(bench_doc):
     doc["hot"]["p99_ms"] = "fast"
     with pytest.raises(ValueError, match="p99_ms"):
         validate_serve_bench(doc)
+
+
+def test_default_kernels_all_exist():
+    """The default request mix names real kernels: an unknown name
+    raises in ``run_serve_bench`` rather than silently shrinking the
+    mix."""
+    from repro.kernels import all_kernels
+    from repro.serve.loadgen import DEFAULT_KERNELS
+
+    assert set(DEFAULT_KERNELS) <= set(all_kernels())
+    assert len(set(DEFAULT_KERNELS)) == len(DEFAULT_KERNELS)

@@ -111,6 +111,17 @@ def test_request_validation_errors(server):
         assert needle in doc["message"], payload
 
 
+def test_retired_search_knob_is_400_naming_the_field(server):
+    """The four search-engine knobs retired with the legacy oracles
+    (bitset, memoize, prune, bound) are unknown config fields now: a
+    client still sending one gets a 400 naming it, never a compile
+    under silently different settings."""
+    status, _headers, doc = server.compile(source=_C_SRC,
+                                           config={"bitset": False})
+    assert status == 400, doc
+    assert "bitset" in doc["message"]
+
+
 def test_fault_field_rejected_without_allow_faults(server):
     status, _headers, doc = server.compile(source=_C_SRC, fault="crash")
     assert status == 400

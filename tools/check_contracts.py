@@ -19,12 +19,12 @@ every Python file under ``src/`` with :mod:`ast` and verifies
   namespace, e.g. ``beam.``) is a member of ``COUNTER_NAMES`` — a typo
   in a counter read silently returns 0, which is exactly the failure
   mode the differential tests' counter assertions must not have;
-* every registered ``beam.bound_*`` counter has at least one literal
-  ``.inc`` site under ``src/`` — the bound counters are the *only*
-  observable difference between ``bound="matching"`` and
-  ``bound="slp"`` (the differential tests pin packs and costs
-  identical), so a registered-but-never-incremented bound counter
-  means a gate silently lost its instrumentation.
+* every registered counter has at least one literal ``.inc`` site
+  under ``src/`` (both arms of ``inc("a" if c else "b")`` count) —
+  most counters record work that leaves packs and costs unchanged
+  (skips, prunes, memo hits; the pack goldens pin those), so a
+  registered-but-never-incremented counter reads 0 forever and hides
+  that its code path lost its instrumentation or was deleted.
 
 ``tests/``, ``benchmarks/``, and ``tools/`` are walked alongside
 ``src/``: the read-side contract matters most where counters gate
@@ -70,6 +70,20 @@ def _literal_str(node: ast.AST) -> "str | None":
     return None
 
 
+def _literal_arms(node: ast.AST) -> "List[str] | None":
+    """The names a call argument can evaluate to: one for a string
+    literal, both arms for ``"a" if cond else "b"`` (recursively), or
+    None when any arm is computed."""
+    if isinstance(node, ast.IfExp):
+        body = _literal_arms(node.body)
+        orelse = _literal_arms(node.orelse)
+        if body is None or orelse is None:
+            return None
+        return body + orelse
+    name = _literal_str(node)
+    return None if name is None else [name]
+
+
 def check_file(path: str,
                writes: bool = True,
                inc_sites: "set | None" = None) -> Tuple[List[str], int]:
@@ -91,14 +105,16 @@ def check_file(path: str,
                 isinstance(node.func, ast.Attribute) and \
                 node.func.attr in ("inc", "span") and node.args:
             kind = node.func.attr
-            name = _literal_str(node.args[0])
-            if name is None:
+            names = _literal_arms(node.args[0])
+            if names is None:
                 dynamic += 1
                 continue
             if kind == "inc" and inc_sites is not None:
-                inc_sites.add(name)
+                inc_sites.update(names)
             contract = COUNTER_NAMES if kind == "inc" else SPAN_NAMES
-            if name not in contract:
+            for name in names:
+                if name in contract:
+                    continue
                 registry = ("COUNTER_NAMES" if kind == "inc"
                             else "SPAN_NAMES")
                 violations.append(
@@ -147,15 +163,15 @@ def main() -> int:
             inc_sites=src_inc_sites if writes else None)
         all_violations.extend(violations)
         dynamic_total += dynamic
-    # Write-coverage check for the bound-gate family: these counters
-    # are the only observable matching-vs-slp difference, so each one
-    # must actually be incremented somewhere in the pipeline.
+    # Write coverage: a registered counter nothing increments reads 0
+    # forever, whether its code path lost the instrumentation or is
+    # gone altogether.
     for name in sorted(COUNTER_NAMES):
-        if name.startswith("beam.bound_") and name not in src_inc_sites:
+        if name not in src_inc_sites:
             all_violations.append(
                 f"COUNTER_NAMES registers {name!r} but no literal "
-                f".inc({name!r}) exists under src/ (a bound gate lost "
-                f"its instrumentation)"
+                f".inc({name!r}) exists under src/ (its code path lost "
+                f"its instrumentation, or no longer exists)"
             )
     for violation in all_violations:
         print(violation, file=sys.stderr)
